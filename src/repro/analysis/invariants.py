@@ -158,6 +158,21 @@ class ChainInvariantMonitor:
 
         node.store.apply = recording_apply
 
+        original_install = node.store.install
+
+        def recording_install(record: Any) -> bool:
+            # A key already present is offered through the store's
+            # apply — the recording wrapper above counts that one.
+            if node.store.get_record(record.key) is not None:
+                return original_install(record)
+            installed = original_install(record)
+            monitor.applies_checked += 1
+            if not getattr(node, "syncing", False):
+                applied.setdefault(record.key, []).append(record.version)
+            return installed
+
+        node.store.install = recording_install
+
         original_crash = node.crash
 
         def resetting_crash() -> None:

@@ -49,8 +49,14 @@ class HashRing:
         self._points = points
         self._hashes = [h for h, _ in points]
         # Rings are immutable, and workloads ask for the same keys'
-        # chains millions of times — memoise placement per (key, length).
-        self._chain_cache: Dict[Tuple[str, int], List[str]] = {}
+        # chains millions of times — memoise placement, one key → chain
+        # map per chain length. A chain depends only on the ring point
+        # after the key's hash, so there are at most as many distinct
+        # chains as points (a few hundred): 10⁵ keys share those lists
+        # instead of holding one each.
+        self._chain_cache: Dict[int, Dict[str, List[str]]] = {}
+        self._point_chains: Dict[Tuple[int, int], List[str]] = {}
+        self._interned_chains: Dict[Tuple[str, ...], List[str]] = {}
 
     # ------------------------------------------------------------------
     # membership
@@ -86,27 +92,36 @@ class HashRing:
     def chain_for(self, key: str, length: int) -> List[str]:
         """The replica chain for ``key``: ``length`` distinct servers in
         ring-successor order. Head first, tail last."""
-        if not self._servers:
-            raise ClusterError("ring is empty")
-        if length < 1:
-            raise ClusterError(f"chain length must be >= 1, got {length}")
-        cached = self._chain_cache.get((key, length))
-        if cached is not None:
-            return cached
-        length = min(length, len(self._servers))
-        start = bisect.bisect_right(self._hashes, _hash64(key)) % len(self._points)
-        chain: List[str] = []
-        seen = set()
-        idx = start
-        while len(chain) < length:
-            server = self._points[idx][1]
-            if server not in seen:
-                seen.add(server)
-                chain.append(server)
-            idx = (idx + 1) % len(self._points)
-        # Callers treat chains as read-only; the cache hands out the
-        # same list instance to avoid re-hashing hot keys.
-        self._chain_cache[(key, length)] = chain
+        memo = self._chain_cache.get(length)
+        if memo is None:
+            if not self._servers:
+                raise ClusterError("ring is empty")
+            if length < 1:
+                raise ClusterError(f"chain length must be >= 1, got {length}")
+            memo = self._chain_cache[length] = {}
+        chain = memo.get(key)
+        if chain is None:
+            start = bisect.bisect_right(self._hashes, _hash64(key)) % len(self._points)
+            chain = memo[key] = self._chain_at(start, length)
+        return chain
+
+    def _chain_at(self, start: int, length: int) -> List[str]:
+        """The chain of every key that hashes just before ring point
+        ``start``; interned, so equal chains are one list instance."""
+        chain = self._point_chains.get((start, length))
+        if chain is None:
+            wanted = min(length, len(self._servers))
+            walk: List[str] = []
+            idx = start
+            while len(walk) < wanted:
+                server = self._points[idx][1]
+                if server not in walk:
+                    walk.append(server)
+                idx = (idx + 1) % len(self._points)
+            # Callers treat chains as read-only; every key with this
+            # chain gets the same list.
+            chain = self._interned_chains.setdefault(tuple(walk), walk)
+            self._point_chains[(start, length)] = chain
         return chain
 
     def head_for(self, key: str) -> str:

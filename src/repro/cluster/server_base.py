@@ -11,18 +11,20 @@ their own message handlers.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 
-from repro.cluster.membership import Heartbeat, RingView, ViewChange
+from repro.cluster.membership import ClusterManager, Heartbeat, RingView, ViewChange
+from repro.cluster.placement import ShardCatalog
 from repro.cluster.ring import chain_positions
 from repro.errors import NotResponsibleError
 from repro.net.actor import Actor
 from repro.net.network import Address, Network
 from repro.sim.kernel import Simulator
-from repro.storage.merge import ConflictResolver
-from repro.storage.store import VersionedStore
+from repro.storage.merge import ConflictResolver, stamp_of
+from repro.storage.store import Record, VersionedStore
+from repro.storage.version import VersionVector, intern_str
 
-__all__ = ["RingServer"]
+__all__ = ["RingServer", "install_preload"]
 
 
 class RingServer(Actor):
@@ -114,3 +116,43 @@ class RingServer(Actor):
 
     def handle_view_change(self, old: RingView, new: RingView) -> None:
         """Protocol hook: reconcile chain state after membership changed."""
+
+
+def install_preload(
+    managers: Mapping[str, ClusterManager],
+    nodes_by_name: Mapping[str, Mapping[str, RingServer]],
+    data: Dict[str, Any],
+    now: float,
+    placement: Optional[ShardCatalog] = None,
+) -> Iterator[Tuple[RingServer, Record]]:
+    """Install ``data`` on every replica of every key, skipping the
+    protocol; yields ``(server, record)`` after each install, in key,
+    site, chain order.
+
+    Every replica ends up holding what a long-converged deployment
+    would: the same value at version ``{preload: 1}``. The replicas of
+    a key share *one* :class:`~repro.storage.store.Record` (built with
+    the store's ``record_factory``), installed through
+    :meth:`~repro.storage.store.VersionedStore.install`. Under partial
+    replication (``placement``) only the key's owner sites receive it.
+    """
+    version = VersionVector({"preload": 1})
+    stamp = stamp_of(version)
+    make_record = VersionedStore.record_factory
+    # Views cannot change while no simulated time passes: resolve each
+    # site's ring once (``RingView.chain_for`` without the per-key hops).
+    sites = [
+        (site, manager.view.ring(), manager.view.chain_length, nodes_by_name[site])
+        for site, manager in managers.items()
+    ]
+    for key, value in data.items():
+        key = intern_str(key)
+        record = make_record(key, value, version, stamp, now)
+        owners = placement.owners_for(key) if placement is not None else None
+        for site, ring, length, nodes in sites:
+            if owners is not None and site not in owners:
+                continue
+            for name in ring.chain_for(key, length):
+                server = nodes[name]
+                server.store.install(record)
+                yield server, record

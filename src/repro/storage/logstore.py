@@ -99,9 +99,9 @@ class AppendLog:
 class DurableStore(VersionedStore):  # repro: lint-ok(slots) — base keeps __dict__ for the invariant monitor
     """A versioned store whose applied writes are logged for recovery.
 
-    - ``apply``/``delete`` append to the log *only when the write took
-      effect* (dominated duplicates cost nothing, as in FAWN-KV where
-      the index filters them before the log).
+    - ``apply``/``delete``/``install`` append to the log *only when the
+      write took effect* (dominated duplicates cost nothing, as in
+      FAWN-KV where the index filters them before the log).
     - ``clear()`` models a crash: memory is lost, the log is not.
     - ``recover_from_log()`` rebuilds memory by replay; convergent apply
       makes replay order-insensitive and idempotent.
@@ -134,6 +134,12 @@ class DurableStore(VersionedStore):  # repro: lint-ok(slots) — base keeps __di
             record = result.record
             self.log.append(LogEntry(key, value, version, record.stamp))
         return result
+
+    def install(self, record):
+        # A key already present goes through the logged apply instead.
+        if self.get_record(record.key) is None:
+            self.log.append(LogEntry(record.key, record.value, record.version, record.stamp))
+        return super().install(record)
 
     # ------------------------------------------------------------------
     # crash & recovery

@@ -52,9 +52,15 @@ class Record:
     order-independent.
 
     Hand-rolled slotted class (not ``dataclass(slots=True)`` — py3.9):
-    stores hold one instance per key per replica, so the per-instance
-    ``__dict__`` a dataclass carries dominated large-keyspace memory.
-    Treat instances as immutable; nothing in the tree mutates them.
+    stores hold up to one instance per key per replica, so the
+    per-instance ``__dict__`` a dataclass carries dominated
+    large-keyspace memory.
+
+    Instances are immutable, and that is load-bearing: a preload
+    installs *one* record per key and every replica's store holds that
+    same instance (:meth:`VersionedStore.install`). Mutating a field
+    would change the key on every replica at once; a write replaces the
+    record in its own store instead.
     """
 
     __slots__ = ("key", "value", "version", "stamp", "updated_at")
@@ -121,7 +127,7 @@ class ApplyResult:
         )
 
 
-class VersionedStore:  # repro: lint-ok(slots) — invariant monitor rebinds .apply per instance
+class VersionedStore:  # repro: lint-ok(slots) — invariant monitor rebinds .apply/.install per instance
     """Convergent versioned KV store used by every replica.
 
     ``record_factory`` is the class used for stored entries; the scale
@@ -220,6 +226,25 @@ class VersionedStore:  # repro: lint-ok(slots) — invariant monitor rebinds .ap
         self.writes_applied += 1
         self.conflicts_resolved += 1
         return ApplyResult(True, rec, was_conflict=True)
+
+    def install(self, record: Record) -> bool:
+        """Store ``record`` itself if its key is absent; returns whether
+        the store changed.
+
+        The bulk-preload path: replicas of a preloaded key share one
+        immutable record instead of building one each. A key already
+        present goes through :meth:`apply` with the record's fields, so
+        the outcome and counters are exactly those of offering the
+        write.
+        """
+        key = record.key
+        if key in self._data:
+            return self.apply(
+                key, record.value, record.version, record.updated_at, record.stamp
+            ).applied
+        self._data[key] = record
+        self.writes_applied += 1
+        return True
 
     def delete(
         self,

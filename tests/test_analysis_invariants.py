@@ -46,6 +46,25 @@ class TestCleanRuns:
             monitor.attach()
 
 
+class TestPreloadCoverage:
+    @pytest.mark.parametrize("protocol", ["chainreaction", "chain"])
+    def test_every_preloaded_replica_is_checked(self, protocol):
+        store = build_store(protocol, sites=("dc0", "dc1"), servers_per_site=4,
+                            chain_length=3, seed=42)
+        monitor = ChainInvariantMonitor(store).attach()
+        data = {f"k{i}": "v" for i in range(12)}
+        store.preload(data)
+        replicas = 12 * 2 * 3
+        assert monitor.applies_checked == replicas
+        report = monitor.report()
+        assert report.keys_checked == 12 and report.clean, report.format()
+        # Preloading again goes through apply once per replica, counted
+        # once: the install wrapper does not count it a second time.
+        store.preload(data)
+        assert monitor.applies_checked == 2 * replicas
+        assert monitor.report().clean
+
+
 class TestBrokenRuns:
     def _monitored_store(self, seed=42):
         store = build_store("chainreaction", sites=("dc0",), servers_per_site=3,

@@ -61,6 +61,31 @@ class TestChains:
         with pytest.raises(ClusterError):
             ring.chain_for("k", 0)
 
+    def test_equal_chains_are_one_list(self, ring):
+        keys = [f"key{i}" for i in range(500)]
+        by_chain = {}
+        for key in keys:
+            chain = ring.chain_for(key, 3)
+            by_chain.setdefault(tuple(chain), []).append(chain)
+        assert len(by_chain) < len(keys)  # 6 servers: chains repeat
+        for chains in by_chain.values():
+            assert all(chain is chains[0] for chain in chains)
+        # Sharing changes no placement: keys asked of a fresh ring in
+        # another order get the same chains.
+        fresh = HashRing(SERVERS, virtual_nodes=32)
+        for key in reversed(keys):
+            assert fresh.chain_for(key, 3) == ring.chain_for(key, 3)
+
+    def test_lengths_are_memoised_apart(self, ring):
+        for i in range(50):
+            key = f"key{i}"
+            two, three = ring.chain_for(key, 2), ring.chain_for(key, 3)
+            assert (len(two), len(three)) == (2, 3)
+            assert ring.chain_for(key, 2) is two
+            assert ring.chain_for(key, 3) is three
+        assert len(ring.chain_for("key0", 9)) == len(SERVERS)
+        assert len(ring.chain_for("key0", 1)) == 1
+
 
 class TestMembershipChanges:
     def test_without_removes_server(self, ring):

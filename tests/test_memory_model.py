@@ -16,8 +16,9 @@ from repro.core.deptable import (
 )
 from repro.core.messages import DepEntry, deps_size_bytes
 from repro.metrics.memory import TracedPeak, census_totals, memory_census, traced_call
-from repro.perf.legacy_mem import legacy_memory_model
+from repro.perf.legacy_mem import LegacyRecord, legacy_memory_model
 from repro.perf.scale import bench_scale
+from repro.storage.store import Record
 from repro.storage.version import (
     ZERO,
     VersionVector,
@@ -265,6 +266,24 @@ class TestMemoryCensus:
         assert census["stability"]["objects"] > 0
         assert census["vv_intern_pool"]["entries"] >= 1
 
+    def test_census_counts_every_replica_of_shared_records(self):
+        store = small_store()
+        data = {f"k{i}": "v" for i in range(10)}
+        store.preload(data)
+        census = memory_census(store)
+        # 10 keys × 2 sites × chain length 2: one record per replica in
+        # the census, though the replicas of a key hold one instance.
+        assert census["records"]["objects"] == 40
+        one = Record("k0", "v", VersionVector({"preload": 1})).size_bytes()
+        assert census["records"]["bytes"] == 40 * one
+        for key in data:
+            held = {
+                id(node.store.get_record(key))
+                for node in store.servers()
+                if node.store.get_record(key) is not None
+            }
+            assert len(held) == 1
+
     def test_census_covers_session_dep_tables(self):
         store = small_store()
         run_small_workload(store)
@@ -298,6 +317,16 @@ class TestLegacyMemoryModel:
             assert isinstance(make_dep_table(), dict)
         assert interning_enabled()
         assert isinstance(make_dep_table(), DepTable)
+
+    def test_preload_stores_legacy_records(self):
+        with legacy_memory_model():
+            store = small_store()
+            store.preload({f"k{i}": "v" for i in range(5)})
+            records = [
+                rec for node in store.servers() for rec in node.store.all_records()
+            ]
+        assert len(records) == 20
+        assert all(isinstance(rec, LegacyRecord) for rec in records)
 
     def test_legacy_run_is_event_identical(self):
         store = small_store()

@@ -3,7 +3,15 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.storage import AppendLog, DurableStore, LogEntry, VersionVector, VersionedStore
+from repro.storage import (
+    AppendLog,
+    DurableStore,
+    LogEntry,
+    Record,
+    VersionedStore,
+    VersionVector,
+    stamp_of,
+)
 
 
 def vv(**entries):
@@ -30,6 +38,19 @@ class TestLogging:
         store.apply("k", "v", vv(dc0=1))
         store.delete("k", vv(dc0=2))
         assert len(store.log) == 2
+
+    def test_installed_records_are_logged_once(self):
+        store = DurableStore()
+        version = vv(preload=1)
+        rec = Record("k", "v", version, stamp_of(version))
+        assert store.install(rec) is True
+        assert store.install(rec) is False  # present: offered via apply
+        assert [(e.key, e.value, e.version) for e in store.log.entries()] == [
+            ("k", "v", version)
+        ]
+        store.clear()
+        store.recover_from_log()
+        assert store.get_record("k") == rec
 
     def test_log_byte_accounting(self):
         store = DurableStore()

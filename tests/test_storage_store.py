@@ -5,7 +5,14 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.storage import TOMBSTONE, LWWResolver, VersionedStore, VersionVector
+from repro.storage import (
+    TOMBSTONE,
+    LWWResolver,
+    Record,
+    VersionedStore,
+    VersionVector,
+    stamp_of,
+)
 
 
 def vv(**entries):
@@ -96,6 +103,51 @@ class TestTombstones:
         store.delete("a", vv(dc0=2))
         assert len(store) == 1
         assert list(store.keys()) == ["b"]
+
+
+def preload_record(key, value, version, now=0.0):
+    return Record(key, value, version, stamp_of(version), now)
+
+
+class TestInstall:
+    def test_absent_key_stores_the_record_itself(self):
+        store = VersionedStore()
+        rec = preload_record("k", "v", vv(preload=1), now=0.5)
+        assert store.install(rec) is True
+        assert store.get_record("k") is rec
+        assert store.writes_applied == 1 and store.writes_ignored == 0
+
+    @pytest.mark.parametrize(
+        "prior",
+        [
+            {"preload": 1},  # duplicate → ignored
+            {"preload": 2},  # stored dominates → ignored
+            {},  # incoming dominates → replaces
+            {"dc0": 1},  # concurrent → resolved
+        ],
+    )
+    def test_present_key_matches_apply(self, prior):
+        installed, applied = VersionedStore(), VersionedStore()
+        for store in (installed, applied):
+            store.apply("k", "v0", VersionVector(prior), 0.1)
+        rec = preload_record("k", "v", vv(preload=1), now=0.5)
+        changed = installed.install(rec)
+        result = applied.apply("k", "v", vv(preload=1), 0.5)
+        assert changed == result.applied
+        assert installed.get_record("k") == applied.get_record("k")
+        for counter in ("writes_applied", "writes_ignored", "conflicts_resolved"):
+            assert getattr(installed, counter) == getattr(applied, counter)
+
+    def test_later_put_leaves_other_replicas_record_alone(self):
+        replicas = [VersionedStore() for _ in range(3)]
+        rec = preload_record("k", "v", vv(preload=1))
+        for store in replicas:
+            store.install(rec)
+        replicas[0].apply("k", "new", vv(preload=1, dc0=1), 1.0)
+        assert replicas[0].get_record("k").value == "new"
+        for store in replicas[1:]:
+            assert store.get_record("k") is rec
+        assert (rec.value, rec.version, rec.updated_at) == ("v", vv(preload=1), 0.0)
 
 
 class TestAntiEntropy:
